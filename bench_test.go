@@ -26,6 +26,7 @@ import (
 	"vmalloc/internal/presolve"
 	"vmalloc/internal/relax"
 	"vmalloc/internal/sched"
+	"vmalloc/internal/testutil/lpdomain"
 	"vmalloc/internal/trace"
 	"vmalloc/internal/vec"
 	"vmalloc/internal/vp"
@@ -235,6 +236,81 @@ func TestLPRosterPresolveSpeedup(t *testing.T) {
 		t.Fatalf("presolved LP roster only %.2fx faster than warm-start-only (warmonly %v, presolve %v), want >= 1.5x",
 			speedup, plainElapsed, preElapsed)
 	}
+}
+
+// lpBoundTrajectory returns the relaxations of n successive views of one
+// fixed-seed LP-bound domain (16 hosts of the 64-host cov-0.5 park, 32
+// Google-like services), two need updates apart.
+func lpBoundTrajectory(n int) []*lp.Problem {
+	d := lpdomain.New(1, 3)
+	rng := rand.New(rand.NewSource(3))
+	out := make([]*lp.Problem, n)
+	for i := range out {
+		d.Apply(d.NextUpdate(rng))
+		d.Apply(d.NextUpdate(rng))
+		out[i] = relax.Encode(d.P).LP
+	}
+	return out
+}
+
+// BenchmarkPresolveReduce times presolve alone on the relaxations an
+// LP-bound epoch solves: each op reduces the next view of a fixed-seed
+// domain trajectory (encoding is outside the timer).
+func BenchmarkPresolveReduce(b *testing.B) {
+	probs := lpBoundTrajectory(32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		red, err := presolve.Reduce(probs[i%len(probs)], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if red.Outcome() != presolve.Reduced {
+			b.Fatalf("outcome %v", red.Outcome())
+		}
+	}
+}
+
+// BenchmarkLPBoundEpoch times one LP-bounded reallocation epoch of a single
+// placement domain: two need updates, then the warm-started LP bound plus
+// the bracketed meta search. lp_solves/op counts the relaxations the epoch
+// actually solved.
+func BenchmarkLPBoundEpoch(b *testing.B) {
+	d := lpdomain.New(1, 3)
+	c, err := NewCluster(d.P.Nodes, &ClusterOptions{UseLPBound: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]int, len(d.P.Services))
+	for j, svc := range d.P.Services {
+		id, ok, err := c.Add(svc)
+		if err != nil || !ok {
+			b.Fatalf("admission %d: ok=%v err=%v", j, ok, err)
+		}
+		ids[j] = id
+	}
+	if ep := c.Reallocate(); !ep.Result.Solved {
+		b.Fatal("warmup epoch failed")
+	}
+	rng := rand.New(rand.NewSource(3))
+	var solves int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for u := 0; u < 2; u++ {
+			up := d.NextUpdate(rng)
+			elem, agg := up.Needs()
+			if err := c.UpdateNeeds(ids[up.J], elem, agg, elem.Clone(), agg.Clone()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ep := c.Reallocate()
+		if !ep.Result.Solved {
+			b.Fatal("epoch failed")
+		}
+		solves += ep.Stats.Solver.LPSolves
+	}
+	b.ReportMetric(float64(solves)/float64(b.N), "lp_solves/op")
 }
 
 // BenchmarkTable2Runtimes times each Table 2 algorithm on one representative

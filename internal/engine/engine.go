@@ -42,8 +42,11 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"time"
+	"weak"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/hvp"
@@ -160,6 +163,18 @@ type Engine struct {
 	solver *vp.Solver   // sequential persistent solver (lazy)
 	pool   []*vp.Solver // parallel persistent solvers (lazy)
 	basis  *lp.Basis    // LP warm-start basis carried across epochs
+
+	// relaxWS keeps the LP bound's encoding, presolve and simplex storage
+	// from one epoch to the next. The reference is weak: a garbage
+	// collection between two epochs reclaims the storage (the next bound
+	// allocates a fresh workspace), so a park of idle domains never holds
+	// their solver storage live, and it never raises the heap target the
+	// collector paces itself by. memo holds the last view solved and the
+	// outcome.
+	relaxWS weak.Pointer[relax.Workspace]
+	memo    boundMemo
+	// solveBound replaces relaxWS.Bound when set (tests inject failures).
+	solveBound func(p *core.Problem, warm *lp.Basis) (*relax.Relaxed, error)
 
 	// lpStats accumulates the relaxation-solve counters of the current
 	// epoch (lpBound is called once per binary-search bracket); drained
@@ -481,24 +496,99 @@ func (e *Engine) solve() *core.Result {
 	return vp.MetaConfigsSolver(e.solver, e.configs, opts)
 }
 
+// boundMemo is the per-domain LP bound memo: a bitwise copy of the view the
+// bound was last solved for, and the outcome (the bound, or -1 for an
+// infeasible relaxation). Solver errors are never stored.
+type boundMemo struct {
+	key   []uint64
+	bound float64
+	ok    bool
+	next  []uint64 // key of the view being checked, swapped in on a solve
+}
+
+// viewKey appends the bits of everything Encode reads from p: the shape,
+// then every node's capacities and every service's requirements and needs.
+func viewKey(key []uint64, p *core.Problem) []uint64 {
+	key = append(key, uint64(len(p.Nodes)), uint64(len(p.Services)))
+	vecs := func(vs ...vec.Vec) {
+		for _, v := range vs {
+			key = append(key, uint64(len(v)))
+			for _, x := range v {
+				key = append(key, math.Float64bits(x))
+			}
+		}
+	}
+	for h := range p.Nodes {
+		vecs(p.Nodes[h].Elementary, p.Nodes[h].Aggregate)
+	}
+	for j := range p.Services {
+		s := &p.Services[j]
+		vecs(s.ReqElem, s.ReqAgg, s.NeedElem, s.NeedAgg)
+	}
+	return key
+}
+
 // lpBound is the warm-started LPBOUND hook: each epoch's relaxation is
 // solved from the previous epoch's optimal basis (the sparse solver falls
 // back to a cold start when the cluster changed shape too much for the basis
-// to fit).
+// to fit) on the engine's recycled workspace. A view bit-identical to the
+// last one solved returns the memoized outcome without encoding or solving.
 func (e *Engine) lpBound(p *core.Problem) (float64, error) {
-	rel, err := relax.SolveRelaxedWarm(p, e.basis)
+	m := &e.memo
+	m.next = viewKey(m.next[:0], p)
+	if m.ok && slices.Equal(m.next, m.key) {
+		e.lpStats.LPBoundCached++
+		return m.bound, nil
+	}
+	var rel *relax.Relaxed
+	var err error
+	if e.solveBound != nil {
+		rel, err = e.solveBound(p, e.basis)
+	} else {
+		rel, err = e.solveRelaxation(p)
+	}
 	if err != nil {
 		e.basis = nil
+		e.lpStats.LPBoundErrors++
 		return 0, err
 	}
 	e.noteRelaxation(rel)
-	if !rel.Feasible {
+	bound := -1.0
+	if rel.Feasible {
+		e.basis = rel.Basis
+		bound = math.Min(rel.MinYield, 1)
+	} else {
 		e.basis = nil
-		return -1, nil
 	}
-	e.basis = rel.Basis
-	return math.Min(rel.MinYield, 1), nil
+	m.key, m.next = m.next, m.key
+	m.bound, m.ok = bound, true
+	return bound, nil
 }
+
+// lpSlots bounds the LP bounds solving at once across every engine in the
+// process. The solves are CPU-bound, so more of them in flight than
+// GOMAXPROCS finish no sooner; they only hold more workspaces live at the
+// same moment (a sharded router starts one solve per domain together),
+// which raises the heap the collector paces itself by.
+var lpSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
+
+// solveRelaxation solves p's relaxation on the engine's workspace, warm
+// from the carried basis, once an LP slot is free.
+func (e *Engine) solveRelaxation(p *core.Problem) (*relax.Relaxed, error) {
+	lpSlots <- struct{}{}
+	defer func() { <-lpSlots }()
+	ws := e.relaxWS.Value()
+	if ws == nil { // none yet, or the collector reclaimed it
+		ws = new(relax.Workspace)
+		e.relaxWS = weak.Make(ws)
+	}
+	return ws.Bound(p, e.basis)
+}
+
+// LastLPBound reports the engine's most recent LP bound outcome — the bound,
+// or -1 for an infeasible relaxation — and whether any bound has been
+// computed yet.
+func (e *Engine) LastLPBound() (float64, bool) { return e.memo.bound, e.memo.ok }
 
 // noteRelaxation folds one relaxation solve's work counters into the
 // current epoch's accumulator.

@@ -1,13 +1,17 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/hvp"
+	"vmalloc/internal/lp"
+	"vmalloc/internal/relax"
 	"vmalloc/internal/sched"
+	"vmalloc/internal/testutil/lpdomain"
 	"vmalloc/internal/vec"
 	"vmalloc/internal/workload"
 )
@@ -359,5 +363,62 @@ func TestGeneratedWorkload(t *testing.T) {
 	min := sched.EvaluatePlacement(e.TrueView(), e.EstView(), rep.Result.Placement, sched.AllocWeights, 0)
 	if min < 0 || min > 1 {
 		t.Fatalf("evaluated min yield %v out of range", min)
+	}
+}
+
+// TestLPBoundMemoAndErrors drives the LP-bound hook through a cache hit and
+// a solver error: an unchanged view is served from the memo (no solve, same
+// outcome), a failed solve is counted, leaves the search on the unbounded
+// bracket and is not memoized, so the next epoch on that view solves again.
+func TestLPBoundMemoAndErrors(t *testing.T) {
+	d := lpdomain.New(0, 1)
+	e := newTestEngine(t, Config{Nodes: d.P.Nodes, UseLPBound: true})
+	ids := make([]int, len(d.P.Services))
+	for j, svc := range d.P.Services {
+		id, _, ok := e.Add(svc, svc)
+		if !ok {
+			t.Fatalf("admission %d rejected", j)
+		}
+		ids[j] = id
+	}
+	first := e.Reallocate()
+	if st := first.Solver; st.LPSolves != 1 || st.LPBoundCached != 0 || st.LPBoundErrors != 0 {
+		t.Fatalf("first epoch: %+v", st)
+	}
+	bound, ok := e.LastLPBound()
+	if !ok || bound <= 0 || bound > 1 {
+		t.Fatalf("first bound %v (ok=%v)", bound, ok)
+	}
+
+	again := e.Reallocate()
+	if st := again.Solver; st.LPSolves != 0 || st.LPBoundCached != 1 {
+		t.Fatalf("unchanged view not served from the memo: %+v", st)
+	}
+	if again.Result.MinYield != first.Result.MinYield { //vmalloc:nondet-ok a memo hit must reproduce the epoch bit for bit
+		t.Fatalf("cached epoch min-yield %v, first %v", again.Result.MinYield, first.Result.MinYield)
+	}
+
+	u := d.NextUpdate(rand.New(rand.NewSource(5)))
+	elem, agg := u.Needs()
+	elem[0] *= 1.5 // make sure the view changes
+	agg[0] *= 1.5
+	if !e.UpdateNeeds(ids[u.J], elem, agg, elem.Clone(), agg.Clone()) {
+		t.Fatal("update failed")
+	}
+	e.solveBound = func(*core.Problem, *lp.Basis) (*relax.Relaxed, error) {
+		return nil, errors.New("relax: simplex returned IterLimit")
+	}
+	failed := e.Reallocate()
+	if st := failed.Solver; st.LPBoundErrors != 1 || st.LPSolves != 0 || st.LPBoundCached != 0 {
+		t.Fatalf("failing solve: %+v", st)
+	}
+	if !failed.Result.Solved {
+		t.Fatal("an LP bound error must fall back to the unbounded search, not fail the epoch")
+	}
+
+	e.solveBound = nil
+	healed := e.Reallocate()
+	if st := healed.Solver; st.LPSolves != 1 || st.LPBoundCached != 0 || st.LPBoundErrors != 0 {
+		t.Fatalf("epoch after the error must solve the view afresh: %+v", st)
 	}
 }

@@ -1,17 +1,10 @@
 // Solver-backend seam: the rest of the repository (relax, milp, hvp, exp)
 // talks to linear-programming solvers through the Backend interface instead
-// of calling SolveSparse directly, so presolve wrappers and future external
-// solvers compose with the existing code without touching call sites. The
-// in-tree sparse revised simplex is the default backend; internal/presolve
-// registers a presolving wrapper around it.
+// of calling SolveSparse directly, so the presolving wrapper in
+// internal/presolve composes with the in-tree sparse revised simplex
+// without touching call sites.
 
 package lp
-
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
 
 // Backend solves linear programs in the Problem form. Implementations must
 // be safe for concurrent use by multiple goroutines (the experiment harness
@@ -23,7 +16,7 @@ import (
 // backend must degrade gracefully — an unusable warm basis costs a cold
 // start, never a wrong answer.
 type Backend interface {
-	// Name identifies the backend in the registry.
+	// Name identifies the backend in logs and reports.
 	Name() string
 	// Solve maximizes p from a cold start.
 	Solve(p *Problem) (*Solution, error)
@@ -45,79 +38,4 @@ func (Simplex) Solve(p *Problem) (*Solution, error) { return SolveSparse(p) }
 // SolveWarm implements Backend.
 func (Simplex) SolveWarm(p *Problem, warm *Basis) (*Solution, error) {
 	return SolveSparseWarm(p, warm)
-}
-
-var (
-	backendMu  sync.RWMutex
-	backends   = map[string]Backend{}
-	defaultKey string
-)
-
-func init() {
-	MustRegister(Simplex{})
-}
-
-// Register adds a backend to the registry. The first registered backend
-// becomes the default until SetDefault overrides it.
-func Register(b Backend) error {
-	name := b.Name()
-	if name == "" {
-		return fmt.Errorf("lp: backend with empty name")
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backends[name]; dup {
-		return fmt.Errorf("lp: backend %q already registered", name)
-	}
-	backends[name] = b
-	if defaultKey == "" {
-		defaultKey = name
-	}
-	return nil
-}
-
-// MustRegister is Register, panicking on error (for init-time registration).
-func MustRegister(b Backend) {
-	if err := Register(b); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the backend registered under name.
-func Lookup(name string) (Backend, bool) {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	b, ok := backends[name]
-	return b, ok
-}
-
-// Backends returns the registered backend names, sorted.
-func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	names := make([]string, 0, len(backends))
-	for name := range backends { //vmalloc:nondet-ok keys are collected into a slice and sorted before any use
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// DefaultBackend returns the current default backend.
-func DefaultBackend() Backend {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return backends[defaultKey]
-}
-
-// SetDefault makes the named backend the default, returning an error when it
-// is not registered.
-func SetDefault(name string) error {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, ok := backends[name]; !ok {
-		return fmt.Errorf("lp: unknown backend %q", name)
-	}
-	defaultKey = name
-	return nil
 }

@@ -9,7 +9,11 @@
 
 package lp
 
-import "math"
+import (
+	"math"
+
+	"vmalloc/internal/sliceutil"
+)
 
 // luPivotTol is the magnitude below which a factorization pivot is treated
 // as singular.
@@ -48,22 +52,42 @@ type basisLU struct {
 
 	x []float64 // row/slot-space scratch
 	z []float64 // step-space scratch
+
+	// factorize's scratch: per-nonzero-count slot counts, the pivoted-row
+	// flags and the touched-row list.
+	bucket  []int
+	pivoted []bool
+	touched []int
 }
 
-func newBasisLU(m int) *basisLU {
-	return &basisLU{
-		m:        m,
-		ord:      make([]int, m),
-		pivotRow: make([]int, m),
-		rowStep:  make([]int, m),
-		lRows:    make([][]int, m),
-		lVals:    make([][]float64, m),
-		uRows:    make([][]int, m),
-		uVals:    make([][]float64, m),
-		uDiag:    make([]float64, m),
-		x:        make([]float64, m),
-		z:        make([]float64, m),
+// reset sizes the factorization for m rows, reusing the arrays (and the
+// per-step L and U storage) it already holds. The factors themselves are
+// undefined until the next factorize.
+func (lu *basisLU) reset(m int) {
+	lu.m = m
+	lu.ord = sliceutil.Fit(lu.ord, m)
+	lu.pivotRow = sliceutil.Fit(lu.pivotRow, m)
+	lu.rowStep = sliceutil.Fit(lu.rowStep, m)
+	lu.lRows = growKeep(lu.lRows, m)
+	lu.lVals = growKeep(lu.lVals, m)
+	lu.uRows = growKeep(lu.uRows, m)
+	lu.uVals = growKeep(lu.uVals, m)
+	lu.uDiag = sliceutil.Fit(lu.uDiag, m)
+	lu.x = sliceutil.Fit(lu.x, m)
+	lu.z = sliceutil.Fit(lu.z, m)
+	clear(lu.z)
+	lu.pivoted = sliceutil.Fit(lu.pivoted, m)
+}
+
+// growKeep resizes s to n elements, carrying the existing elements (here:
+// per-step storage worth reusing) across a reallocation.
+func growKeep[E any](s [][]E, n int) [][]E {
+	if cap(s) >= n {
+		return s[:n]
 	}
+	t := make([][]E, n, n+n/8)
+	copy(t, s)
+	return t
 }
 
 // nEtas returns the eta-file length since the last factorization.
@@ -74,7 +98,6 @@ func (lu *basisLU) nEtas() int { return len(lu.etaSlot) }
 // pivoting by magnitude. It reports false on a numerically singular basis,
 // leaving the factorization unusable.
 func (lu *basisLU) factorize(bcols []*sparseCol) bool {
-	m := lu.m
 	lu.etaSlot = lu.etaSlot[:0]
 	lu.etaStart = append(lu.etaStart[:0], 0)
 	lu.etaPivot = lu.etaPivot[:0]
@@ -82,26 +105,31 @@ func (lu *basisLU) factorize(bcols []*sparseCol) bool {
 	lu.etaVal = lu.etaVal[:0]
 
 	// Sparsest columns first keeps the slack-heavy part of the basis
-	// fill-free; counting sort by nonzero count.
-	buckets := make([][]int, 0)
-	for slot, c := range bcols {
-		nnz := len(c.rows)
-		for len(buckets) <= nnz {
-			buckets = append(buckets, nil)
-		}
-		buckets[nnz] = append(buckets[nnz], slot)
+	// fill-free; a stable counting sort by nonzero count.
+	maxNNZ := 0
+	for _, c := range bcols {
+		maxNNZ = max(maxNNZ, len(c.rows))
 	}
-	lu.ord = lu.ord[:0]
-	for _, b := range buckets {
-		lu.ord = append(lu.ord, b...)
+	start := zeroed(lu.bucket, maxNNZ+2)
+	lu.bucket = start
+	for _, c := range bcols {
+		start[len(c.rows)+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	for slot, c := range bcols {
+		lu.ord[start[len(c.rows)]] = slot
+		start[len(c.rows)]++
 	}
 
 	x := lu.x
 	for i := range x {
 		x[i] = 0
 	}
-	pivoted := make([]bool, m)
-	touched := make([]int, 0, m)
+	pivoted := lu.pivoted
+	clear(pivoted)
+	touched := lu.touched[:0]
 
 	for t, slot := range lu.ord {
 		c := bcols[slot]
@@ -138,13 +166,12 @@ func (lu *basisLU) factorize(bcols []*sparseCol) bool {
 			for _, i := range touched {
 				x[i] = 0
 			}
+			lu.touched = touched
 			return false
 		}
 		pv := x[piv]
-		var lr []int
-		var lv []float64
-		var ur []int
-		var uv []float64
+		lr, lv := lu.lRows[t][:0], lu.lVals[t][:0]
+		ur, uv := lu.uRows[t][:0], lu.uVals[t][:0]
 		for _, i := range touched {
 			v := x[i]
 			x[i] = 0
@@ -166,6 +193,7 @@ func (lu *basisLU) factorize(bcols []*sparseCol) bool {
 		lu.rowStep[piv] = t
 		pivoted[piv] = true
 	}
+	lu.touched = touched
 	return true
 }
 

@@ -2,6 +2,8 @@ package lp
 
 import (
 	"math"
+
+	"vmalloc/internal/sliceutil"
 )
 
 // SolveRevised maximizes the problem with a revised bounded simplex: the
@@ -15,13 +17,14 @@ func SolveRevised(p *Problem) (*Solution, error) {
 }
 
 // runRevised solves a validated, lower-shifted problem with the revised
-// simplex, warm-starting from warm when it installs cleanly (see
-// installBasis) and cold-starting through phase 1 otherwise.
-func runRevised(p *Problem, warm *Basis) *Solution {
-	rv := newRevised(p)
+// simplex on rv's recycled storage, warm-starting from warm when it
+// installs cleanly (see installBasis) and cold-starting through phase 1
+// otherwise. Without duals the Solution's Duals and BoundDuals stay nil.
+func runRevised(rv *revised, p *Problem, warm *Basis, duals bool) *Solution {
+	rv.reset(p)
 	warmed := warm != nil && rv.installBasis(warm)
 	if warm != nil && !warmed {
-		rv = newRevised(p) // a failed install leaves partial state behind
+		rv.reset(p) // a failed install leaves partial state behind
 	}
 	if !warmed {
 		if rv.needPhase1() {
@@ -58,10 +61,13 @@ func runRevised(p *Problem, warm *Basis) *Solution {
 	if st != Optimal {
 		return sol
 	}
-	x := rv.extract()
-	sol.X = x[:rv.nStruct:rv.nStruct]
+	sol.X = rv.extract()
 	for j, c := range p.Obj {
 		sol.Objective += c * sol.X[j]
+	}
+	sol.Basis = rv.captureBasis()
+	if !duals {
+		return sol
 	}
 	y := rv.dualVector()
 	sol.Duals = make([]float64, rv.m)
@@ -76,7 +82,6 @@ func runRevised(p *Problem, warm *Basis) *Solution {
 			}
 		}
 	}
-	sol.Basis = rv.captureBasis()
 	return sol
 }
 
@@ -121,17 +126,31 @@ type revised struct {
 	rowCol    []int
 	rowVal    []float64
 	alpha     []float64 // scatter scratch for the pivot-row coefficients
+	touched   []int     // columns whose alpha entry was set by updateDuals
 	iters     int
 	maxIter   int
 	scratch   []float64
 	yScratch  []float64
 	cbScratch []float64
+
+	// Recycled storage: sign-normalized structural values, the one-entry
+	// slack and artificial columns, the slack map, basis-column pointers
+	// and refreshXB's right-hand side.
+	valArena []float64
+	unitRows []int
+	unitVals []float64
+	slackOf  []int
+	bcols    []*sparseCol
+	rhs      []float64
+	csrNext  []int
 }
 
-func newRevised(p *Problem) *revised {
+// reset loads p into rv, reusing every array rv already holds, and installs
+// the initial slack/artificial basis.
+func (rv *revised) reset(p *Problem) {
 	m, ns := p.NumRows(), p.NumVars()
 	nSlack := 0
-	slackOf := make([]int, m)
+	slackOf := sliceutil.Fit(rv.slackOf, m)
 	for i, s := range p.Sense {
 		if s == EQ {
 			slackOf[i] = -1
@@ -143,25 +162,41 @@ func newRevised(p *Problem) *revised {
 	nReal := ns + nSlack
 	n := nReal + m
 
-	rv := &revised{
+	lu := rv.lu
+	if lu == nil {
+		lu = new(basisLU)
+	}
+	lu.reset(m)
+	*rv = revised{
 		m: m, n: n, nStruct: ns, nReal: nReal,
-		cols:      make([]sparseCol, n),
-		b:         make([]float64, m),
-		rowSign:   make([]float64, m),
-		lu:        newBasisLU(m),
-		xB:        make([]float64, m),
-		basis:     make([]int, m),
-		inBasis:   make([]int, n),
-		status:    make([]varStatus, n),
-		upper:     make([]float64, n),
-		cost:      make([]float64, n),
-		banned:    make([]bool, n),
-		d:         make([]float64, n),
-		alpha:     make([]float64, n),
+		cols:      sliceutil.Fit(rv.cols, n),
+		b:         sliceutil.Fit(rv.b, m),
+		rowSign:   sliceutil.Fit(rv.rowSign, m),
+		lu:        lu,
+		xB:        sliceutil.Fit(rv.xB, m),
+		basis:     sliceutil.Fit(rv.basis, m),
+		inBasis:   sliceutil.Fit(rv.inBasis, n),
+		status:    zeroed(rv.status, n),
+		upper:     sliceutil.Fit(rv.upper, n),
+		cost:      zeroed(rv.cost, n),
+		banned:    zeroed(rv.banned, n),
+		d:         zeroed(rv.d, n),
+		alpha:     zeroed(rv.alpha, n),
+		touched:   rv.touched[:0],
 		maxIter:   iterCap(p.MaxIter, m, n),
-		scratch:   make([]float64, m),
-		yScratch:  make([]float64, m),
-		cbScratch: make([]float64, m),
+		scratch:   zeroed(rv.scratch, m),
+		yScratch:  zeroed(rv.yScratch, m),
+		cbScratch: zeroed(rv.cbScratch, m),
+		valArena:  rv.valArena,
+		unitRows:  sliceutil.Fit(rv.unitRows, 2*m),
+		unitVals:  sliceutil.Fit(rv.unitVals, 2*m),
+		slackOf:   slackOf,
+		bcols:     rv.bcols,
+		rhs:       rv.rhs,
+		rowPtr:    rv.rowPtr,
+		rowCol:    rv.rowCol,
+		rowVal:    rv.rowVal,
+		csrNext:   rv.csrNext,
 	}
 	for j := range rv.inBasis {
 		rv.inBasis[j] = -1
@@ -179,24 +214,25 @@ func newRevised(p *Problem) *revised {
 
 	// Build sign-normalized sparse columns. CSC input shares its row-index
 	// slices (never mutated); dense rows are scanned column by column.
-	sign := make([]float64, m)
+	sign := rv.rowSign
 	for i := 0; i < m; i++ {
 		sign[i] = 1
 		if p.B[i] < 0 {
 			sign[i] = -1
 		}
-		rv.rowSign[i] = sign[i]
 		rv.b[i] = sign[i] * p.B[i]
 	}
 	if p.Cols != nil {
 		csc := p.Cols
+		rv.valArena = sliceutil.Fit(rv.valArena, csc.NNZ())
 		for j := 0; j < ns; j++ {
 			lo, hi := csc.ColPtr[j], csc.ColPtr[j+1]
 			if lo == hi {
+				rv.cols[j] = sparseCol{}
 				continue
 			}
 			rows := csc.RowIdx[lo:hi:hi]
-			vals := make([]float64, hi-lo)
+			vals := rv.valArena[lo:hi:hi]
 			for k, r := range rows {
 				vals[k] = sign[r] * csc.Val[lo+k]
 			}
@@ -214,15 +250,19 @@ func newRevised(p *Problem) *revised {
 			rv.cols[j] = c
 		}
 	}
+	// One-entry slack and artificial columns live in the unit arenas: row
+	// i's slack at 2i, its artificial at 2i+1.
 	for i := 0; i < m; i++ {
 		if sj := slackOf[i]; sj >= 0 {
 			v := 1.0
 			if p.Sense[i] == GE {
 				v = -1
 			}
-			rv.cols[sj] = sparseCol{rows: []int{i}, vals: []float64{sign[i] * v}}
+			rv.unitRows[2*i], rv.unitVals[2*i] = i, sign[i]*v
+			rv.cols[sj] = sparseCol{rows: rv.unitRows[2*i : 2*i+1 : 2*i+1], vals: rv.unitVals[2*i : 2*i+1 : 2*i+1]}
 		}
-		rv.cols[nReal+i] = sparseCol{rows: []int{i}, vals: []float64{1}}
+		rv.unitRows[2*i+1], rv.unitVals[2*i+1] = i, 1
+		rv.cols[nReal+i] = sparseCol{rows: rv.unitRows[2*i+1 : 2*i+2 : 2*i+2], vals: rv.unitVals[2*i+1 : 2*i+2 : 2*i+2]}
 	}
 
 	// Initial basis: slack when its coefficient is +1, else artificial.
@@ -241,12 +281,18 @@ func newRevised(p *Problem) *revised {
 	// trivial and cannot fail.
 	rv.lu.factorize(rv.basisCols())
 	rv.buildCSR()
-	return rv
+}
+
+// zeroed returns s resized to n with every element zero.
+func zeroed[S ~[]E, E any](s S, n int) S {
+	s = sliceutil.Fit(s, n)
+	clear(s)
+	return s
 }
 
 // buildCSR mirrors the sign-normalized columns row-wise for pricing.
 func (rv *revised) buildCSR() {
-	counts := make([]int, rv.m+1)
+	counts := zeroed(rv.rowPtr, rv.m+1)
 	nnz := 0
 	for j := range rv.cols {
 		for _, r := range rv.cols[j].rows {
@@ -258,9 +304,10 @@ func (rv *revised) buildCSR() {
 	for i := 0; i < rv.m; i++ {
 		rv.rowPtr[i+1] += rv.rowPtr[i]
 	}
-	rv.rowCol = make([]int, nnz)
-	rv.rowVal = make([]float64, nnz)
-	next := append([]int(nil), rv.rowPtr[:rv.m]...)
+	rv.rowCol = sliceutil.Fit(rv.rowCol, nnz)
+	rv.rowVal = sliceutil.Fit(rv.rowVal, nnz)
+	next := append(rv.csrNext[:0], rv.rowPtr[:rv.m]...)
+	rv.csrNext = next
 	for j := range rv.cols {
 		c := &rv.cols[j]
 		for k, r := range c.rows {
@@ -274,7 +321,8 @@ func (rv *revised) buildCSR() {
 
 // basisCols collects pointers to the current basis columns, slot by slot.
 func (rv *revised) basisCols() []*sparseCol {
-	bc := make([]*sparseCol, rv.m)
+	bc := sliceutil.Fit(rv.bcols, rv.m)
+	rv.bcols = bc
 	for i, col := range rv.basis {
 		bc[i] = &rv.cols[col]
 	}
@@ -404,27 +452,29 @@ func (rv *revised) updateDuals(enter, row int, w []float64) {
 		e[row] = 1
 		rho := rv.yScratch
 		rv.lu.btran(rho, e)
+		touched := rv.touched[:0]
 		for i := 0; i < rv.m; i++ {
 			ri := rho[i]
 			if ri == 0 { //vmalloc:nondet-ok structural zero test on a stored eta value
 				continue
 			}
 			for k := rv.rowPtr[i]; k < rv.rowPtr[i+1]; k++ {
-				rv.alpha[rv.rowCol[k]] += ri * rv.rowVal[k]
-			}
-		}
-		for i := 0; i < rv.m; i++ {
-			if rho[i] == 0 { //vmalloc:nondet-ok structural zero test on a stored row value
-				continue
-			}
-			for k := rv.rowPtr[i]; k < rv.rowPtr[i+1]; k++ {
 				j := rv.rowCol[k]
-				if a := rv.alpha[j]; a != 0 { //vmalloc:nondet-ok structural zero test on a stored pricing value
-					rv.d[j] -= ratio * a
-					rv.alpha[j] = 0
+				if rv.alpha[j] == 0 { //vmalloc:nondet-ok structural zero test on a stored pricing value
+					touched = append(touched, j)
 				}
+				rv.alpha[j] += ri * rv.rowVal[k]
 			}
 		}
+		// Each column's reduced cost moves once, by its final alpha; the
+		// columns are independent, so the visiting order does not matter.
+		for _, j := range touched {
+			if a := rv.alpha[j]; a != 0 { //vmalloc:nondet-ok structural zero test on a stored pricing value
+				rv.d[j] -= ratio * a
+				rv.alpha[j] = 0
+			}
+		}
+		rv.touched = touched
 	}
 	rv.d[enter] = 0
 }
@@ -597,7 +647,8 @@ func (rv *revised) driveOutArtificials() {
 // refreshXB recomputes the basic values from scratch:
 // x_B = B^{-1}·(b − Σ_{j at upper} A_j·u_j), countering incremental drift.
 func (rv *revised) refreshXB() {
-	r := make([]float64, rv.m)
+	rv.rhs = sliceutil.Fit(rv.rhs, rv.m)
+	r := rv.rhs
 	copy(r, rv.b)
 	for j := 0; j < rv.n; j++ {
 		if rv.status[j] == atUpper && rv.upper[j] != 0 { //vmalloc:nondet-ok structural zero test on a stored bound
@@ -618,14 +669,18 @@ func (rv *revised) refreshXB() {
 	}
 }
 
+// extract returns the structural part of the current primal point.
 func (rv *revised) extract() []float64 {
-	x := make([]float64, rv.n)
-	for j := 0; j < rv.n; j++ {
+	x := make([]float64, rv.nStruct)
+	for j := 0; j < rv.nStruct; j++ {
 		if rv.status[j] == atUpper {
 			x[j] = rv.upper[j]
 		}
 	}
 	for i, b := range rv.basis {
+		if b >= rv.nStruct {
+			continue
+		}
 		v := rv.xB[i]
 		if v < 0 && v > -feasTol {
 			v = 0

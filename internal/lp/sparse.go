@@ -340,11 +340,30 @@ func SolveSparse(p *Problem) (*Solution, error) {
 // returned error wraps ErrIterLimit and the Solution — still returned —
 // carries Status == IterLimit plus the iteration count.
 func SolveSparseWarm(p *Problem, warm *Basis) (*Solution, error) {
+	return new(Workspace).SolveWarm(p, warm)
+}
+
+// Workspace runs successive sparse simplex solves on recycled storage: the
+// sign-normalized columns, the row-wise pricing mirror, the LU factors and
+// every per-iteration scratch vector survive from one solve to the next, so
+// a caller re-solving problems of a similar size (an LP bound per epoch)
+// stops paying their allocation. Results are those of SolveSparseWarm. A
+// Workspace is not safe for concurrent use; the zero value is ready.
+type Workspace struct {
+	rv revised
+	// NoDuals skips the dual vectors: solutions come back with Duals and
+	// BoundDuals nil, for callers that read only the primal and the basis.
+	NoDuals bool
+}
+
+// SolveWarm is SolveSparseWarm on the workspace's storage. The returned
+// Solution owns its slices.
+func (w *Workspace) SolveWarm(p *Problem, warm *Basis) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	q, lower := p.shiftLower()
-	sol := runRevised(q, warm)
+	sol := runRevised(&w.rv, q, warm, !w.NoDuals)
 	unshiftSolution(sol, p.Obj, lower)
 	if sol.Status == IterLimit {
 		return sol, fmt.Errorf("%w (after %d iterations)", ErrIterLimit, sol.Iters)

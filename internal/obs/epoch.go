@@ -29,6 +29,13 @@ type SolverStats struct {
 	LPWarmStarts       int64 `json:"lp_warm_starts"`
 	LPColdStarts       int64 `json:"lp_cold_starts"`
 
+	// LP bound outcomes: bounds that failed with a solver error (the yield
+	// search then ran on the unbounded bracket), and bounds served from the
+	// per-domain memo because the view was bit-identical to the last one
+	// solved (no encode, presolve or simplex ran).
+	LPBoundErrors int64 `json:"lp_bound_errors"`
+	LPBoundCached int64 `json:"lp_bound_cached"`
+
 	// Branch and bound.
 	MILPNodes  int64 `json:"milp_nodes"`
 	MILPPruned int64 `json:"milp_pruned"`
@@ -54,6 +61,8 @@ func (s *SolverStats) Add(o SolverStats) {
 	s.LPBlandActivations += o.LPBlandActivations
 	s.LPWarmStarts += o.LPWarmStarts
 	s.LPColdStarts += o.LPColdStarts
+	s.LPBoundErrors += o.LPBoundErrors
+	s.LPBoundCached += o.LPBoundCached
 	s.MILPNodes += o.MILPNodes
 	s.MILPPruned += o.MILPPruned
 	s.VPPacks += o.VPPacks

@@ -203,11 +203,13 @@ func TestEpochRingWrapAndTotals(t *testing.T) {
 }
 
 func TestSolverStatsAdd(t *testing.T) {
-	a := SolverStats{LPIterations: 1, PresolveRowsEliminated: 2, VPStepsPruned: 3, LPWarmStarts: 1}
-	a.Add(SolverStats{LPIterations: 4, PresolveRowsEliminated: 5, VPStepsPruned: 6, LPColdStarts: 2, MILPPruned: 7})
+	a := SolverStats{LPIterations: 1, PresolveRowsEliminated: 2, VPStepsPruned: 3, LPWarmStarts: 1, LPBoundCached: 1}
+	a.Add(SolverStats{LPIterations: 4, PresolveRowsEliminated: 5, VPStepsPruned: 6, LPColdStarts: 2, MILPPruned: 7,
+		LPBoundErrors: 1, LPBoundCached: 2})
 	want := SolverStats{
 		LPIterations: 5, PresolveRowsEliminated: 7, VPStepsPruned: 9,
 		LPWarmStarts: 1, LPColdStarts: 2, MILPPruned: 7,
+		LPBoundErrors: 1, LPBoundCached: 3,
 	}
 	if a != want {
 		t.Fatalf("Add: got %+v want %+v", a, want)

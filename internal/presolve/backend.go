@@ -21,10 +21,6 @@ type Backend struct {
 	Opts *Options
 }
 
-func init() {
-	lp.MustRegister(Backend{})
-}
-
 func (b Backend) inner() lp.Backend {
 	if b.Inner == nil {
 		return lp.Simplex{}
@@ -46,34 +42,55 @@ func (b Backend) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) 
 	if err != nil {
 		return nil, err
 	}
-	switch red.Outcome() {
+	return red.solve(warm, b.inner().SolveWarm)
+}
+
+// solve finishes a backend solve of the reduction: outcomes presolve
+// settled are returned directly, a reduced model is solved by inner
+// (warm-started from warm) and its primal postsolved to full space, with
+// the reduced basis as the next warm token (the full-space basis
+// reconstruction is reachable via explicit Reduce+Postsolve, so it is not
+// built here).
+func (r *Reduction) solve(warm *lp.Basis, inner func(*lp.Problem, *lp.Basis) (*lp.Solution, error)) (*lp.Solution, error) {
+	switch r.Outcome() {
 	case Infeasible:
-		return &lp.Solution{Status: lp.Infeasible, Presolve: red.solutionStats()}, nil
+		return &lp.Solution{Status: lp.Infeasible, Presolve: r.solutionStats()}, nil
 	case Unbounded:
-		return &lp.Solution{Status: lp.Unbounded, Presolve: red.solutionStats()}, nil
+		return &lp.Solution{Status: lp.Unbounded, Presolve: r.solutionStats()}, nil
 	case Solved:
-		full, err := red.Postsolve(nil)
+		full, err := r.Postsolve(nil)
 		if err != nil {
 			return nil, err
 		}
-		full.Presolve = red.solutionStats()
+		full.Presolve = r.solutionStats()
 		return full, nil
 	}
-	sol, err := b.inner().SolveWarm(red.Problem(), warm)
+	sol, err := inner(r.Problem(), warm)
 	if err != nil {
 		return sol, err
 	}
-	full, err := red.Postsolve(sol)
+	full, err := r.postsolve(sol, false)
 	if err != nil {
 		return nil, err
 	}
-	// Hand the reduced basis back as the warm token; the full-space basis
-	// reconstruction is reachable via explicit Reduce+Postsolve.
 	full.Basis = sol.Basis
 	full.Refactorizations = sol.Refactorizations
 	full.BlandActivations = sol.BlandActivations
-	full.Presolve = red.solutionStats()
+	full.Presolve = r.solutionStats()
 	return full, nil
+}
+
+// SolveWarm is Backend{}.SolveWarm on the workspace's recycled storage:
+// the reduction and the simplex both reuse their arrays, and the reduced
+// solve skips the dual vectors, which the presolved path never returns.
+// Results are identical to Backend{}'s.
+func (w *Workspace) SolveWarm(p *lp.Problem, warm *lp.Basis) (*lp.Solution, error) {
+	red, err := w.Reduce(p, nil)
+	if err != nil {
+		return nil, err
+	}
+	w.lpw.NoDuals = true
+	return red.solve(warm, w.lpw.SolveWarm)
 }
 
 // solutionStats converts the reduction's counters into the lp-space stats

@@ -23,6 +23,12 @@ import (
 // treat a nil basis as a cold start). Dual values are not reconstructed:
 // Duals and BoundDuals are nil on the presolved path.
 func (r *Reduction) Postsolve(sol *lp.Solution) (*lp.Solution, error) {
+	return r.postsolve(sol, true)
+}
+
+// postsolve is Postsolve, building the full-space basis of a reduced
+// solve only when withBasis is set.
+func (r *Reduction) postsolve(sol *lp.Solution, withBasis bool) (*lp.Solution, error) {
 	switch r.outcome {
 	case Infeasible:
 		return &lp.Solution{Status: lp.Infeasible}, nil
@@ -50,7 +56,9 @@ func (r *Reduction) Postsolve(sol *lp.Solution) (*lp.Solution, error) {
 	}
 	full := &lp.Solution{Status: lp.Optimal, Iters: sol.Iters, WarmStarted: sol.WarmStarted}
 	r.fillPrimal(full, sol.X)
-	full.Basis = r.fullBasis(sol.Basis, full.X)
+	if withBasis {
+		full.Basis = r.fullBasis(sol.Basis, full.X)
+	}
 	return full, nil
 }
 

@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"vmalloc/internal/lp"
+	"vmalloc/internal/sliceutil"
 )
 
 // Options tunes a reduction.
@@ -179,7 +180,8 @@ const (
 )
 
 // reducer is the mutable working state of one reduction, always indexed by
-// original row/column ids.
+// original row/column ids. Its arrays are recycled across reductions by a
+// Workspace.
 type reducer struct {
 	n, m     int       // current counts; n grows past nOrig as slacks are added
 	nOrig    int       // columns in the input problem
@@ -191,20 +193,41 @@ type reducer struct {
 	colAlive []bool
 	l, u, c  []float64
 	integral []bool
-	colRows  [][]int // rows that may contain the column (lazily deduped)
 	pivotOf  []int
 	records  []record
 	stats    Stats
 	opts     Options
+
+	// colRows[j] lists exactly the alive rows holding column j, each with
+	// the coefficient stored in that row (unordered: every consumer either
+	// counts it or touches each row independently). Every change to a row's
+	// entries updates it in step, so a list is safe to hold across other
+	// queries; the two callers that edit rows while iterating a list
+	// (fixCol, substitute) leave that list itself untouched until done.
+	colRows [][]colEntry
+
+	// actMin/actMax memoize each row's activity bounds while actOK holds;
+	// a change to the row's entries or to a bound of one of its columns
+	// clears the flag, so a memoized value is always the one activity would
+	// recompute.
+	actMin, actMax []float64
+	actOK          []bool
 
 	// assumeImplied makes the next substitute call skip its implied-bound
 	// derivation: vubPass has already proven both sides, and the check costs
 	// a row-activity scan per row containing the pivot.
 	assumeImplied bool
 
-	// ceScratch backs colEntries' result so the hottest presolve query does
-	// not allocate; see the ownership note on colEntries.
-	ceScratch []colEntry
+	// Recycled storage: the initial rows and column lists are windows of
+	// one arena each, substitution merges run through mergeBuf, the
+	// pivot's other terms through othersBuf, and substitution records keep
+	// their terms in termArena.
+	rowArena  []entry
+	colArena  []colEntry
+	mergeBuf  []entry
+	othersBuf []entry
+	termArena []entry
+	rowLen    []int
 
 	infeasible bool
 	unbounded  bool
@@ -213,6 +236,39 @@ type reducer struct {
 // Reduce runs the pipeline on a validated problem (either matrix form; the
 // dense form is sparsified first) and returns the reduction.
 func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
+	return new(Workspace).Reduce(p, opts)
+}
+
+// Workspace reduces successive problems while recycling the reducer's
+// arrays and the reduced model's storage. The Reduction its Reduce returns
+// (and that Reduction's Problem) stays valid only until the next Reduce or
+// SolveWarm on the same Workspace. A Workspace is not safe for concurrent
+// use; the zero value is ready.
+type Workspace struct {
+	ps  reducer
+	red Reduction
+	// lpw solves the reduced models in SolveWarm.
+	lpw lp.Workspace
+	// Reduced-model storage reused by emit.
+	obj, lower, upper, bs []float64
+	senses                []lp.Sense
+	csc                   lp.CSC
+	prob                  lp.Problem
+}
+
+// Reduce is the package-level Reduce on recycled storage.
+func (w *Workspace) Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
+	r, err := w.reduce(p, opts)
+	// The working rows and column lists are dead once the reduction is
+	// built; dropping them releases the storage of every row or list that
+	// outgrew its arena window, which a long-lived Workspace would
+	// otherwise keep.
+	clear(w.ps.rows)
+	clear(w.ps.colRows)
+	return r, err
+}
+
+func (w *Workspace) reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -223,23 +279,30 @@ func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
 		return nil, fmt.Errorf("presolve: |Integral|=%d, want %d", len(opts.Integral), p.NumVars())
 	}
 	sp := p.Sparsify()
-	ps := newReducer(sp, *opts)
+	ps := &w.ps
+	ps.reset(sp, *opts)
 	ps.run()
 
-	r := &Reduction{
+	r := &w.red
+	*r = Reduction{
 		orig:      p,
 		origCols:  sp.Cols,
 		n0:        ps.nOrig,
 		m0:        ps.m,
-		origSense: append([]lp.Sense(nil), p.Sense...),
-		origL:     make([]float64, ps.nOrig),
-		origU:     make([]float64, ps.nOrig),
+		origSense: append(r.origSense[:0], p.Sense...),
+		origL:     sliceutil.Fit(r.origL, ps.nOrig),
+		origU:     sliceutil.Fit(r.origU, ps.nOrig),
 		pivotOf:   ps.pivotOf,
 		records:   ps.records,
 		stats:     ps.stats,
 		synRow:    ps.synRow,
+		colKeep:   r.colKeep[:0],
+		rowKeep:   r.rowKeep[:0],
+		colMap:    r.colMap[:0],
+		rowMap:    r.rowMap[:0],
 	}
 	for j := 0; j < ps.nOrig; j++ {
+		r.origL[j] = 0
 		if p.Lower != nil {
 			r.origL[j] = p.Lower[j]
 		}
@@ -293,14 +356,14 @@ func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
 			return r, nil
 		}
 		r.outcome = Solved
-		r.colMap = fullMap(ps.n, nil)
-		r.rowMap = fullMap(ps.m, nil)
+		r.colMap = fullMap(r.colMap, ps.n, nil)
+		r.rowMap = fullMap(r.rowMap, ps.m, nil)
 		r.stats = ps.stats
 		return r, nil
 	}
 
 	r.outcome = Reduced
-	r.reduced, r.colKeep, r.rowKeep, r.colMap, r.rowMap = ps.emit(p.MaxIter)
+	w.emit(r, p.MaxIter)
 	r.stats = ps.stats
 	r.stats.RowsAfter = len(r.rowKeep)
 	r.stats.ColsAfter = len(r.colKeep)
@@ -308,10 +371,10 @@ func Reduce(p *lp.Problem, opts *Options) (*Reduction, error) {
 	return r, nil
 }
 
-// fullMap returns a map slice sending every index to -1 except those listed
-// in keep, which get their position.
-func fullMap(n int, keep []int) []int {
-	m := make([]int, n)
+// fullMap returns m resized to n with every index sent to -1 except those
+// listed in keep, which get their position.
+func fullMap(m []int, n int, keep []int) []int {
+	m = sliceutil.Fit(m, n)
 	for i := range m {
 		m[i] = -1
 	}
@@ -321,26 +384,44 @@ func fullMap(n int, keep []int) []int {
 	return m
 }
 
-func newReducer(p *lp.Problem, opts Options) *reducer {
+// reset loads p into the reducer, reusing every array it already holds.
+// Rows come out of the column-major input already sorted by column; a row
+// that is not (only possible with duplicate entries, which the sparse
+// builders never produce) is sorted as before.
+func (ps *reducer) reset(p *lp.Problem, opts Options) {
 	n, m := p.NumVars(), p.NumRows()
-	ps := &reducer{
+	csc := p.Cols
+	nnz := csc.NNZ()
+	*ps = reducer{
 		n: n, m: m, nOrig: n,
-		rows:     make([][]entry, m),
-		sense:    append([]lp.Sense(nil), p.Sense...),
-		b:        append([]float64(nil), p.B...),
-		rowAlive: make([]bool, m),
-		colAlive: make([]bool, n),
-		l:        make([]float64, n),
-		u:        make([]float64, n),
-		c:        append([]float64(nil), p.Obj...),
-		integral: opts.Integral,
-		colRows:  make([][]int, n),
-		pivotOf:  make([]int, m),
-		opts:     opts,
+		synRow:    ps.synRow[:0],
+		rows:      sliceutil.Fit(ps.rows, m),
+		sense:     append(ps.sense[:0], p.Sense...),
+		b:         append(ps.b[:0], p.B...),
+		rowAlive:  sliceutil.Fit(ps.rowAlive, m),
+		colAlive:  sliceutil.Fit(ps.colAlive, n),
+		l:         sliceutil.Fit(ps.l, n),
+		u:         sliceutil.Fit(ps.u, n),
+		c:         append(ps.c[:0], p.Obj...),
+		integral:  opts.Integral,
+		pivotOf:   sliceutil.Fit(ps.pivotOf, m),
+		records:   ps.records[:0],
+		opts:      opts,
+		colRows:   sliceutil.Fit(ps.colRows, n),
+		actMin:    sliceutil.Fit(ps.actMin, m),
+		actMax:    sliceutil.Fit(ps.actMax, m),
+		actOK:     sliceutil.Fit(ps.actOK, m),
+		rowArena:  sliceutil.Fit(ps.rowArena, nnz),
+		colArena:  sliceutil.Fit(ps.colArena, nnz),
+		mergeBuf:  ps.mergeBuf[:0],
+		othersBuf: ps.othersBuf[:0],
+		termArena: ps.termArena[:0],
+		rowLen:    ps.rowLen,
 	}
-	for i := range ps.rowAlive {
+	for i := 0; i < m; i++ {
 		ps.rowAlive[i] = true
 		ps.pivotOf[i] = -1
+		ps.actOK[i] = false
 	}
 	for j := 0; j < n; j++ {
 		ps.colAlive[j] = true
@@ -353,22 +434,57 @@ func newReducer(p *lp.Problem, opts Options) *reducer {
 			ps.u[j] = p.Upper[j]
 		}
 	}
-	csc := p.Cols
+	// Row windows of the arena, sized by a count pass.
+	rowLen := sliceutil.Fit(ps.rowLen, m+1)
+	for i := range rowLen {
+		rowLen[i] = 0
+	}
+	ps.rowLen = rowLen
+	for _, i := range csc.RowIdx {
+		rowLen[i+1]++
+	}
+	for i := 0; i < m; i++ {
+		rowLen[i+1] += rowLen[i]
+	}
+	for i := 0; i < m; i++ {
+		lo, hi := rowLen[i], rowLen[i+1]
+		ps.rows[i] = ps.rowArena[lo:lo:hi]
+	}
 	for j := 0; j < n; j++ {
 		for k := csc.ColPtr[j]; k < csc.ColPtr[j+1]; k++ {
 			i := csc.RowIdx[k]
 			ps.rows[i] = append(ps.rows[i], entry{j, csc.Val[k]})
-			ps.colRows[j] = append(ps.colRows[j], i)
 		}
+	}
+	for j := 0; j < n; j++ {
+		lo, hi := csc.ColPtr[j], csc.ColPtr[j+1]
+		ps.colRows[j] = ps.colArena[lo:lo:hi]
 	}
 	for i := range ps.rows {
 		row := ps.rows[i]
-		sort.Slice(row, func(a, b int) bool { return row[a].j < row[b].j })
+		if !strictlySorted(row) {
+			sort.Slice(row, func(a, b int) bool { return row[a].j < row[b].j })
+		}
+		for k, e := range row {
+			if k > 0 && row[k-1].j == e.j {
+				continue // duplicate entry: findCol-style lookups see the first
+			}
+			ps.colRows[e.j] = append(ps.colRows[e.j], colEntry{i, e.v})
+		}
 		ps.stats.NNZBefore += len(row)
 	}
 	ps.stats.RowsBefore = m
 	ps.stats.ColsBefore = n
-	return ps
+}
+
+// strictlySorted reports whether row's columns strictly increase.
+func strictlySorted(row []entry) bool {
+	for k := 1; k < len(row); k++ {
+		if row[k-1].j >= row[k].j {
+			return false
+		}
+	}
+	return true
 }
 
 func (ps *reducer) aliveRows() int {
@@ -396,7 +512,9 @@ func (ps *reducer) run() {
 	// Integral bounds round inward once up front; later tightenings
 	// re-round as they land.
 	for j := 0; j < ps.n; j++ {
-		ps.roundIntegral(j)
+		if ps.roundIntegral(j) {
+			ps.boundsMoved(j)
+		}
 		if ps.infeasible {
 			return
 		}
@@ -439,7 +557,7 @@ func (ps *reducer) fixPass() bool {
 			changed = true
 			continue
 		}
-		if len(ps.colEntries(j)) == 0 {
+		if len(ps.colRows[j]) == 0 {
 			// Empty column: only the objective cares about it.
 			if ps.c[j] > 0 {
 				if math.IsInf(ps.u[j], 1) {
@@ -479,7 +597,7 @@ func (ps *reducer) rowPass() bool {
 			return changed
 		}
 
-		minAct, maxAct := ps.activity(row)
+		minAct, maxAct := ps.rowActivity(i)
 		b, scale := ps.b[i], 1+math.Abs(ps.b[i])
 		switch ps.sense[i] {
 		case lp.LE:
@@ -593,9 +711,10 @@ func (ps *reducer) singletonRow(i int, e entry) {
 // minSide selects the minimum-activity bounds (a>0 -> lower, a<0 -> upper);
 // otherwise the maximum-activity ones.
 func (ps *reducer) forceRow(i int, row []entry, minSide bool) {
-	fixes := append([]entry(nil), row...)
+	// dropRow detaches the row without touching its storage, so row still
+	// lists the entries to fix.
 	ps.dropRow(i)
-	for _, e := range fixes {
+	for _, e := range row {
 		if !ps.colAlive[e.j] {
 			continue
 		}
@@ -621,6 +740,15 @@ func (ps *reducer) activity(row []entry) (minAct, maxAct float64) {
 		}
 	}
 	return minAct, maxAct
+}
+
+// rowActivity is activity(rows[i]) through the per-row memo.
+func (ps *reducer) rowActivity(i int) (minAct, maxAct float64) {
+	if !ps.actOK[i] {
+		ps.actMin[i], ps.actMax[i] = ps.activity(ps.rows[i])
+		ps.actOK[i] = true
+	}
+	return ps.actMin[i], ps.actMax[i]
 }
 
 // propagate derives implied bounds for each variable from the row's
@@ -679,53 +807,77 @@ func (ps *reducer) propagate(i int, row []entry, minAct, maxAct float64) bool {
 // tighten intersects [lo,hi] into column j's bounds, rounding integral
 // columns inward.
 func (ps *reducer) tighten(j int, lo, hi float64) {
+	moved := false
 	if lo > ps.l[j] {
 		ps.l[j] = lo
 		ps.stats.BoundsTightened++
+		moved = true
 	}
 	if hi < ps.u[j] {
 		ps.u[j] = hi
 		ps.stats.BoundsTightened++
+		moved = true
 	}
-	ps.roundIntegral(j)
+	if ps.roundIntegral(j) || moved {
+		ps.boundsMoved(j)
+	}
 	if ps.l[j] > ps.u[j]+feasTol {
 		ps.infeasible = true
 	}
 }
 
-// roundIntegral rounds an integral column's bounds inward; a fractional
-// forced value turns into an empty domain, caught by the caller.
-func (ps *reducer) roundIntegral(j int) {
-	if ps.integral == nil || j >= len(ps.integral) || !ps.integral[j] {
-		return // synthetic slacks (j >= len) are continuous by construction
+// boundsMoved invalidates the activity memo of every row holding column j.
+func (ps *reducer) boundsMoved(j int) {
+	for _, ce := range ps.colRows[j] {
+		ps.actOK[ce.row] = false
 	}
+}
+
+// roundIntegral rounds an integral column's bounds inward and reports
+// whether either moved; a fractional forced value turns into an empty
+// domain, caught by the caller.
+func (ps *reducer) roundIntegral(j int) bool {
+	if ps.integral == nil || j >= len(ps.integral) || !ps.integral[j] {
+		return false // synthetic slacks (j >= len) are continuous by construction
+	}
+	moved := false
 	if l := math.Ceil(ps.l[j] - intRound); l > ps.l[j] {
 		ps.l[j] = l
+		moved = true
 	}
 	if u := math.Floor(ps.u[j] + intRound); u < ps.u[j] {
 		ps.u[j] = u
+		moved = true
 	}
 	if ps.l[j] > ps.u[j]+feasTol {
 		ps.infeasible = true
 	}
+	return moved
 }
 
 // fixCol substitutes the constant v for column j everywhere and records the
 // fix for postsolve.
 func (ps *reducer) fixCol(j int, v float64) {
-	for _, ce := range ps.colEntries(j) {
+	for _, ce := range ps.colRows[j] {
 		ps.b[ce.row] -= ce.v * v
-		ps.removeEntry(ce.row, j)
+		ps.dropFromRow(ce.row, j)
 	}
+	ps.colRows[j] = ps.colRows[j][:0]
 	ps.colAlive[j] = false
 	ps.records = append(ps.records, record{kind: recFix, col: j, val: v})
 	ps.stats.FixedCols++
 }
 
-// dropRow marks a row eliminated.
+// dropRow marks a row eliminated and detaches it from its columns' lists.
+// The row's storage is left as it was, so a caller holding the entries can
+// still read them.
 func (ps *reducer) dropRow(i int) {
+	for _, e := range ps.rows[i] {
+		ps.colDetach(e.j, i)
+	}
 	ps.rowAlive[i] = false
 	ps.rows[i] = nil
+	ps.actOK[i] = false
 	ps.stats.DroppedRows++
 }
 
@@ -735,52 +887,41 @@ type colEntry struct {
 	v   float64
 }
 
-// colEntries returns the alive rows containing column j with their
-// coefficients, deduplicated (colRows is append-only and may hold stale or
-// repeated row ids). The returned slice aliases a shared scratch buffer:
-// it is valid only until the next colEntries call, so callers must not
-// retain it across one (none does — the call sites either take len() or
-// iterate without nested column queries).
-func (ps *reducer) colEntries(j int) []colEntry {
-	out := ps.ceScratch[:0]
-	var seen map[int]bool
-	if len(ps.colRows[j]) > 8 {
-		seen = make(map[int]bool, len(ps.colRows[j]))
-	}
-	live := ps.colRows[j][:0]
-	for _, i := range ps.colRows[j] {
-		if !ps.rowAlive[i] {
-			continue
-		}
-		if seen != nil {
-			if seen[i] {
-				continue
-			}
-			seen[i] = true
-		} else {
-			dup := false
-			for _, p := range live {
-				if p == i {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-		}
-		if k := findCol(ps.rows[i], j); k >= 0 {
-			live = append(live, i)
-			out = append(out, colEntry{i, ps.rows[i][k].v})
+// colDetach removes row i from column j's list (a no-op when absent).
+func (ps *reducer) colDetach(j, i int) {
+	list := ps.colRows[j]
+	for k := range list {
+		if list[k].row == i {
+			last := len(list) - 1
+			list[k] = list[last]
+			ps.colRows[j] = list[:last]
+			return
 		}
 	}
-	ps.colRows[j] = live
-	ps.ceScratch = out[:0]
-	return out
+}
+
+// colSet records row i's new coefficient for column j.
+func (ps *reducer) colSet(j, i int, v float64) {
+	list := ps.colRows[j]
+	for k := range list {
+		if list[k].row == i {
+			list[k].v = v
+			return
+		}
+	}
 }
 
 // findCol binary-searches a sorted row for column j.
 func findCol(row []entry, j int) int {
+	if k := lowerBound(row, j); k < len(row) && row[k].j == j {
+		return k
+	}
+	return -1
+}
+
+// lowerBound returns the first position in a sorted row whose column is at
+// least j.
+func lowerBound(row []entry, j int) int {
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -790,18 +931,23 @@ func findCol(row []entry, j int) int {
 			hi = mid
 		}
 	}
-	if lo < len(row) && row[lo].j == j {
-		return lo
+	return lo
+}
+
+// dropFromRow deletes column j from row i's entries only; the caller keeps
+// column j's list in step.
+func (ps *reducer) dropFromRow(i, j int) {
+	row := ps.rows[i]
+	if k := findCol(row, j); k >= 0 {
+		ps.rows[i] = append(row[:k], row[k+1:]...)
+		ps.actOK[i] = false
 	}
-	return -1
 }
 
 // removeEntry deletes column j from row i.
 func (ps *reducer) removeEntry(i, j int) {
-	row := ps.rows[i]
-	if k := findCol(row, j); k >= 0 {
-		ps.rows[i] = append(row[:k], row[k+1:]...)
-	}
+	ps.dropFromRow(i, j)
+	ps.colDetach(j, i)
 }
 
 // substPass eliminates columns through equality rows. For each alive EQ row
@@ -840,7 +986,7 @@ func (ps *reducer) substPass() bool {
 			if a < 1e-7 || a < 1e-2*maxAbs {
 				continue // numerically weak pivot
 			}
-			cnt := len(ps.colEntries(e.j)) - 1
+			cnt := len(ps.colRows[e.j]) - 1
 			if cnt > maxPivotRows || cnt*(len(row)-1) > maxSubstFill {
 				continue
 			}
@@ -871,9 +1017,9 @@ func (ps *reducer) substitute(i, piv int) bool {
 		return false
 	}
 	a, b := row[k].v, ps.b[i]
-	others := make([]entry, 0, len(row)-1)
-	others = append(others, row[:k]...)
+	others := append(ps.othersBuf[:0], row[:k]...)
 	others = append(others, row[k+1:]...)
+	ps.othersBuf = others
 
 	// x_piv = (b - others·x) / a must stay within [l,u]: each side is a
 	// linear constraint on the others, kept only if not already implied by
@@ -921,19 +1067,17 @@ func (ps *reducer) substitute(i, piv int) bool {
 		}
 	}
 
-	// Rewrite every other row containing the pivot.
-	for _, ce := range ps.colEntries(piv) {
+	// Rewrite every other row containing the pivot. The pivot's own list
+	// is iterated as is and emptied below, once no row holds the pivot.
+	for _, ce := range ps.colRows[piv] {
 		r := ce.row
 		if r == i {
 			continue
 		}
 		f := ce.v / a
-		ps.removeEntry(r, piv)
-		ps.rows[r] = addScaled(ps.rows[r], others, -f)
+		ps.dropFromRow(r, piv)
+		ps.mergeRow(r, others, -f)
 		ps.b[r] -= f * b
-		for _, e := range others {
-			ps.colRows[e.j] = append(ps.colRows[e.j], r)
-		}
 	}
 	// And the objective (the constant c_piv*b/a drops; Postsolve recomputes
 	// the true objective from the original coefficients).
@@ -945,9 +1089,11 @@ func (ps *reducer) substitute(i, piv int) bool {
 		ps.c[piv] = 0
 	}
 	ps.colAlive[piv] = false
+	start := len(ps.termArena)
+	ps.termArena = append(ps.termArena, others...)
 	ps.records = append(ps.records, record{
 		kind: recSubst, col: piv, row: i, a: a, b: b,
-		terms: append([]entry(nil), others...),
+		terms: ps.termArena[start:len(ps.termArena):len(ps.termArena)],
 	})
 	ps.stats.SubstCols++
 	ps.pivotOf[i] = piv
@@ -957,7 +1103,8 @@ func (ps *reducer) substitute(i, piv int) bool {
 		ps.dropRow(i)
 	case lowImplied:
 		// Keep x_piv <= u:  a>0: others >= rhsUp ;  a<0: others <= rhsUp.
-		ps.rows[i] = append([]entry(nil), others...)
+		ps.rows[i] = append(ps.rows[i][:0], others...)
+		ps.actOK[i] = false
 		ps.b[i] = rhsUp
 		if a > 0 {
 			ps.sense[i] = lp.GE
@@ -966,7 +1113,8 @@ func (ps *reducer) substitute(i, piv int) bool {
 		}
 	default:
 		// Keep x_piv >= l:  a>0: others <= rhsLow ;  a<0: others >= rhsLow.
-		ps.rows[i] = append([]entry(nil), others...)
+		ps.rows[i] = append(ps.rows[i][:0], others...)
+		ps.actOK[i] = false
 		ps.b[i] = rhsLow
 		if a > 0 {
 			ps.sense[i] = lp.LE
@@ -974,6 +1122,8 @@ func (ps *reducer) substitute(i, piv int) bool {
 			ps.sense[i] = lp.GE
 		}
 	}
+	// No row holds the pivot any more.
+	ps.colRows[piv] = ps.colRows[piv][:0]
 	return true
 }
 
@@ -1008,7 +1158,7 @@ func (ps *reducer) vubPass() bool {
 		// pivot, so the second candidate is only worth testing when the
 		// first fails.
 		first := 0
-		if len(ps.colEntries(row[1].j)) < len(ps.colEntries(row[0].j)) {
+		if len(ps.colRows[row[1].j]) < len(ps.colRows[row[0].j]) {
 			first = 1
 		}
 		best := -1
@@ -1017,7 +1167,7 @@ func (ps *reducer) vubPass() bool {
 			if a := math.Abs(piv.v); a < 1e-7 || a < 1e-2*maxAbs {
 				continue // numerically weak pivot
 			}
-			if len(ps.colEntries(piv.j))-1 > maxPivotRows {
+			if len(ps.colRows[piv.j])-1 > maxPivotRows {
 				continue
 			}
 			if ps.vubBothImplied(i, piv, part, sigma) {
@@ -1050,7 +1200,11 @@ func (ps *reducer) vubPass() bool {
 // substitute's two-sided test with the prospective slack's [0, inf) range
 // folded into the residual activity.
 func (ps *reducer) vubBothImplied(i int, piv, part entry, sigma float64) bool {
-	minAct, maxAct := ps.activity([]entry{part})
+	k := 0 // part's position in the doubleton row
+	if ps.rows[i][1].j == part.j {
+		k = 1
+	}
+	minAct, maxAct := ps.activity(ps.rows[i][k : k+1])
 	if sigma > 0 {
 		maxAct = math.Inf(1)
 	} else {
@@ -1098,8 +1252,9 @@ func (ps *reducer) addSlackCol(i int, sigma float64) int {
 	ps.u = append(ps.u, math.Inf(1))
 	ps.c = append(ps.c, 0)
 	ps.colAlive = append(ps.colAlive, true)
-	ps.colRows = append(ps.colRows, []int{i})
+	ps.colRows = append(ps.colRows, []colEntry{{i, sigma}})
 	ps.rows[i] = append(ps.rows[i], entry{j, sigma}) // j exceeds every id: row stays sorted
+	ps.actOK[i] = false
 	ps.stats.DoubletonSlacks++
 	return j
 }
@@ -1110,11 +1265,11 @@ func (ps *reducer) addSlackCol(i int, sigma float64) int {
 // committing the tightened bound). ±Inf when no row constrains a side.
 func (ps *reducer) impliedColBounds(piv, skipRow int) (impLow, impUp float64) {
 	impLow, impUp = math.Inf(-1), math.Inf(1)
-	for _, ce := range ps.colEntries(piv) {
+	for _, ce := range ps.colRows[piv] {
 		if ce.row == skipRow || math.Abs(ce.v) < dropCoefTol {
 			continue
 		}
-		minAct, maxAct := ps.activity(ps.rows[ce.row])
+		minAct, maxAct := ps.rowActivity(ce.row)
 		var restMin, restMax float64
 		if ce.v > 0 {
 			restMin, restMax = minAct-ce.v*ps.l[piv], maxAct-ce.v*ps.u[piv]
@@ -1144,10 +1299,17 @@ func (ps *reducer) impliedColBounds(piv, skipRow int) (impLow, impUp float64) {
 	return impLow, impUp
 }
 
-// addScaled merges dst + f*src over sorted rows, dropping entries that
-// cancel below dropCoefTol.
-func addScaled(dst, src []entry, f float64) []entry {
-	out := make([]entry, 0, len(dst)+len(src))
+// mergeRow replaces row r by r + f*src over the sorted entries, dropping
+// entries that cancel below dropCoefTol, and keeps the touched columns'
+// lists in step. The merge runs through mergeBuf and lands back in the
+// row's own storage.
+func (ps *reducer) mergeRow(r int, src []entry, f float64) {
+	if len(src) <= sparseMerge {
+		ps.mergeSparse(r, src, f)
+		return
+	}
+	dst := ps.rows[r]
+	out := ps.mergeBuf[:0]
 	di, si := 0, 0
 	for di < len(dst) || si < len(src) {
 		switch {
@@ -1157,17 +1319,57 @@ func addScaled(dst, src []entry, f float64) []entry {
 		case di == len(dst) || src[si].j < dst[di].j:
 			if v := f * src[si].v; math.Abs(v) >= dropCoefTol {
 				out = append(out, entry{src[si].j, v})
+				ps.colRows[src[si].j] = append(ps.colRows[src[si].j], colEntry{r, v})
 			}
 			si++
 		default:
 			if v := dst[di].v + f*src[si].v; math.Abs(v) >= dropCoefTol {
 				out = append(out, entry{dst[di].j, v})
+				ps.colSet(dst[di].j, r, v)
+			} else {
+				ps.colDetach(dst[di].j, r)
 			}
 			di++
 			si++
 		}
 	}
-	return out
+	ps.mergeBuf = out
+	ps.rows[r] = append(dst[:0], out...)
+	ps.actOK[r] = false
+}
+
+// sparseMerge is the source length up to which mergeRow edits the row in
+// place entry by entry instead of rewriting it: the doubleton
+// substitutions of vubPass merge two entries into rows as long as a host's
+// whole aggregate-capacity row.
+const sparseMerge = 4
+
+// mergeSparse is mergeRow for a short src: each source entry is located by
+// binary search and updated, deleted or inserted in place. The arithmetic
+// and the resulting row are the merge's exactly.
+func (ps *reducer) mergeSparse(r int, src []entry, f float64) {
+	row := ps.rows[r]
+	for _, e := range src {
+		k := lowerBound(row, e.j)
+		if k < len(row) && row[k].j == e.j {
+			if v := row[k].v + f*e.v; math.Abs(v) >= dropCoefTol {
+				row[k].v = v
+				ps.colSet(e.j, r, v)
+			} else {
+				row = append(row[:k], row[k+1:]...)
+				ps.colDetach(e.j, r)
+			}
+			continue
+		}
+		if v := f * e.v; math.Abs(v) >= dropCoefTol {
+			row = append(row, entry{})
+			copy(row[k+1:], row[k:])
+			row[k] = entry{e.j, v}
+			ps.colRows[e.j] = append(ps.colRows[e.j], colEntry{r, v})
+		}
+	}
+	ps.rows[r] = row
+	ps.actOK[r] = false
 }
 
 // emit builds the reduced lp.Problem. GE rows are normalized to LE by
@@ -1176,54 +1378,89 @@ func addScaled(dst, src []entry, f float64) []entry {
 // phase-1 artificial — the normalization is what lets fully-presolved
 // models start phase 2 immediately. Slack values and statuses are identical
 // either way (s = |a·x - b|), so basis mapping is unaffected.
-func (ps *reducer) emit(maxIter int) (red *lp.Problem, colKeep, rowKeep, colMap, rowMap []int) {
+func (w *Workspace) emit(r *Reduction, maxIter int) {
+	ps := &w.ps
 	for j := 0; j < ps.n; j++ {
 		if ps.colAlive[j] {
-			colKeep = append(colKeep, j)
+			r.colKeep = append(r.colKeep, j)
 		}
 	}
 	for i := 0; i < ps.m; i++ {
 		if ps.rowAlive[i] {
-			rowKeep = append(rowKeep, i)
+			r.rowKeep = append(r.rowKeep, i)
 		}
 	}
-	colMap = fullMap(ps.n, colKeep)
-	rowMap = fullMap(ps.m, rowKeep)
+	r.colMap = fullMap(r.colMap, ps.n, r.colKeep)
+	r.rowMap = fullMap(r.rowMap, ps.m, r.rowKeep)
+	colMap := r.colMap
 
-	nr, mr := len(colKeep), len(rowKeep)
-	builder := lp.NewSparseBuilder(nr)
-	senses := make([]lp.Sense, mr)
-	bs := make([]float64, mr)
-	for rr, i := range rowKeep {
-		flip := ps.sense[i] == lp.GE
+	// The matrix is compressed column-wise directly, rows in ascending
+	// order within each column and exact zeros dropped, exactly as a
+	// SparseBuilder fed row by row would.
+	nr, mr := len(r.colKeep), len(r.rowKeep)
+	csc := &w.csc
+	csc.M, csc.N = mr, nr
+	csc.ColPtr = sliceutil.Fit(csc.ColPtr, nr+1)
+	for k := range csc.ColPtr {
+		csc.ColPtr[k] = 0
+	}
+	w.senses = sliceutil.Fit(w.senses, mr)
+	w.bs = sliceutil.Fit(w.bs, mr)
+	nnz := 0
+	for rr, i := range r.rowKeep {
 		sgn := 1.0
-		if flip {
+		if ps.sense[i] == lp.GE {
 			sgn = -1
-			senses[rr] = lp.LE
+			w.senses[rr] = lp.LE
 		} else {
-			senses[rr] = ps.sense[i]
+			w.senses[rr] = ps.sense[i]
 		}
-		bs[rr] = sgn * ps.b[i]
+		w.bs[rr] = sgn * ps.b[i]
 		for _, e := range ps.rows[i] {
-			builder.Add(rr, colMap[e.j], sgn*e.v)
+			if sgn*e.v != 0 { //vmalloc:nondet-ok structural zero dropped when building the sparse matrix; exact by construction
+				csc.ColPtr[colMap[e.j]+1]++
+				nnz++
+			}
 		}
 	}
-	obj := make([]float64, nr)
-	lower := make([]float64, nr)
-	upper := make([]float64, nr)
-	for cr, j := range colKeep {
-		obj[cr] = ps.c[j]
-		lower[cr] = ps.l[j]
-		upper[cr] = ps.u[j]
+	for c := 0; c < nr; c++ {
+		csc.ColPtr[c+1] += csc.ColPtr[c]
 	}
-	red = &lp.Problem{
-		Obj:     obj,
-		Cols:    builder.Build(mr),
-		Sense:   senses,
-		B:       bs,
-		Upper:   upper,
-		Lower:   lower,
+	csc.RowIdx = sliceutil.Fit(csc.RowIdx, nnz)
+	csc.Val = sliceutil.Fit(csc.Val, nnz)
+	next := sliceutil.Fit(ps.rowLen, nr)
+	copy(next, csc.ColPtr[:nr])
+	ps.rowLen = next
+	for rr, i := range r.rowKeep {
+		sgn := 1.0
+		if ps.sense[i] == lp.GE {
+			sgn = -1
+		}
+		for _, e := range ps.rows[i] {
+			if v := sgn * e.v; v != 0 { //vmalloc:nondet-ok structural zero dropped when building the sparse matrix; exact by construction
+				c := colMap[e.j]
+				csc.RowIdx[next[c]] = rr
+				csc.Val[next[c]] = v
+				next[c]++
+			}
+		}
+	}
+	w.obj = sliceutil.Fit(w.obj, nr)
+	w.lower = sliceutil.Fit(w.lower, nr)
+	w.upper = sliceutil.Fit(w.upper, nr)
+	for cr, j := range r.colKeep {
+		w.obj[cr] = ps.c[j]
+		w.lower[cr] = ps.l[j]
+		w.upper[cr] = ps.u[j]
+	}
+	w.prob = lp.Problem{
+		Obj:     w.obj,
+		Cols:    csc,
+		Sense:   w.senses,
+		B:       w.bs,
+		Upper:   w.upper,
+		Lower:   w.lower,
 		MaxIter: maxIter,
 	}
-	return red, colKeep, rowKeep, colMap, rowMap
+	r.reduced = &w.prob
 }

@@ -483,14 +483,3 @@ func TestWarmTokenRoundTrip(t *testing.T) {
 		t.Fatalf("warm objective drifted: %.15g vs %.15g", warm.Objective, cold.Objective)
 	}
 }
-
-// TestBackendRegistered checks the presolving backend self-registers in the
-// lp registry.
-func TestBackendRegistered(t *testing.T) {
-	if _, ok := lp.Lookup("presolve+simplex"); !ok {
-		t.Fatalf("presolve+simplex not registered; have %v", lp.Backends())
-	}
-	if _, ok := lp.Lookup("simplex"); !ok {
-		t.Fatalf("simplex not registered; have %v", lp.Backends())
-	}
-}

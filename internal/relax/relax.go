@@ -15,6 +15,7 @@ import (
 	"vmalloc/internal/lp"
 	"vmalloc/internal/milp"
 	"vmalloc/internal/presolve"
+	"vmalloc/internal/sliceutil"
 	"vmalloc/internal/vec"
 )
 
@@ -73,39 +74,103 @@ func (enc *Encoding) MinYieldVar() int { return 2 * enc.J * enc.H }
 // requirements that exceed a node's elementary capacity force e_jh = 0 via a
 // bound row.
 func Encode(p *core.Problem) *Encoding {
+	enc := new(Encoding)
+	encodeInto(p, enc, new(cscWriter))
+	return enc
+}
+
+// encodeInto is Encode on the writer's recycled storage: its problem's
+// slices and matrix are reused when large enough, and enc.LP is set to its
+// problem. The rows are generated twice, once to count each column's
+// entries and once to place them, so no triplet list is ever built; entries
+// land in row order within each column, as a SparseBuilder fed the same
+// rows would place them.
+func encodeInto(p *core.Problem, enc *Encoding, w *cscWriter) {
+	prob, csc := &w.prob, &w.csc
 	J, H, D := p.NumServices(), p.NumNodes(), p.Dim()
 	n := 2*J*H + 1
-	enc := &Encoding{J: J, H: H, D: D}
-	prob := &lp.Problem{
-		Obj:   make([]float64, n),
-		Upper: make([]float64, n),
+	*enc = Encoding{J: J, H: H, D: D}
+	*prob = lp.Problem{
+		Obj:   sliceutil.Fit(prob.Obj, n),
+		Upper: sliceutil.Fit(prob.Upper, n),
+		Sense: prob.Sense[:0],
+		B:     prob.B[:0],
 	}
+	clear(prob.Obj)
 	for i := range prob.Upper {
 		prob.Upper[i] = 1
 	}
 	prob.Obj[2*J*H] = 1 // maximize Y
 
-	mat := lp.NewSparseBuilder(n)
-	row := 0
-	endRow := func(s lp.Sense, b float64) {
-		prob.Sense = append(prob.Sense, s)
-		prob.B = append(prob.B, b)
-		row++
+	w.row = 0
+	csc.N = n
+	csc.ColPtr = sliceutil.Fit(csc.ColPtr, n+1)
+	clear(csc.ColPtr)
+	w.count = true
+	encodeRows(p, enc, w)
+	for j := 0; j < n; j++ {
+		csc.ColPtr[j+1] += csc.ColPtr[j]
 	}
+	csc.M = w.row
+	csc.RowIdx = sliceutil.Fit(csc.RowIdx, csc.ColPtr[n])
+	csc.Val = sliceutil.Fit(csc.Val, csc.ColPtr[n])
+	w.next = append(w.next[:0], csc.ColPtr[:n]...)
+	w.count, w.row = false, 0
+	encodeRows(p, enc, w)
+	prob.Cols = csc
+	enc.LP = prob
+}
 
+// cscWriter receives the encoding's rows: in the counting pass it tallies
+// each column's nonzeros, in the placing pass it stores them and records
+// every row's sense and right-hand side. Zero coefficients are dropped in
+// both, as SparseBuilder.Add drops them.
+type cscWriter struct {
+	count bool
+	row   int
+	csc   lp.CSC
+	prob  lp.Problem
+	next  []int // placing cursor per column
+}
+
+func (w *cscWriter) add(col int, v float64) {
+	if v == 0 { //vmalloc:nondet-ok structural zero dropped when building the sparse matrix; exact by construction
+		return
+	}
+	if w.count {
+		w.csc.ColPtr[col+1]++
+		return
+	}
+	at := w.next[col]
+	w.next[col]++
+	w.csc.RowIdx[at] = w.row
+	w.csc.Val[at] = v
+}
+
+func (w *cscWriter) endRow(s lp.Sense, b float64) {
+	if !w.count {
+		w.prob.Sense = append(w.prob.Sense, s)
+		w.prob.B = append(w.prob.B, b)
+	}
+	w.row++
+}
+
+// encodeRows generates the constraint rows of Eqs. 3–7 in order.
+func encodeRows(p *core.Problem, enc *Encoding, w *cscWriter) {
+	J, H, D := enc.J, enc.H, enc.D
 	// (3) each service on exactly one node.
 	for j := 0; j < J; j++ {
 		for h := 0; h < H; h++ {
-			mat.Add(row, enc.EVar(j, h), 1)
+			w.add(enc.EVar(j, h), 1)
 		}
-		endRow(lp.EQ, 1)
+		w.endRow(lp.EQ, 1)
 	}
 	// (4) y_jh <= e_jh.
 	for j := 0; j < J; j++ {
 		for h := 0; h < H; h++ {
-			mat.Add(row, enc.YVar(j, h), 1)
-			mat.Add(row, enc.EVar(j, h), -1)
-			endRow(lp.LE, 0)
+			w.add(enc.YVar(j, h), 1)
+			w.add(enc.EVar(j, h), -1)
+			w.endRow(lp.LE, 0)
 		}
 	}
 	// (5) elementary capacities: e_jh*r^e_jd + y_jh*n^e_jd <= c^e_hd.
@@ -118,49 +183,47 @@ func Encode(p *core.Problem) *Encoding {
 				if re+ne <= ce {
 					continue // can never bind with e,y in [0,1]
 				}
-				mat.Add(row, enc.EVar(j, h), re)
-				mat.Add(row, enc.YVar(j, h), ne)
-				endRow(lp.LE, ce)
+				w.add(enc.EVar(j, h), re)
+				w.add(enc.YVar(j, h), ne)
+				w.endRow(lp.LE, ce)
 			}
 		}
 	}
-	// (6) aggregate capacities per node and dimension. The builder already
-	// drops structurally-zero coefficients (zero-need dimensions contribute
-	// no y_jh terms); additionally skip dimensions no service demands at
-	// all, whose rows would be empty — 0 <= capacity holds vacuously.
-	hasAgg := make([]bool, D)
-	for d := 0; d < D; d++ {
-		for j := 0; j < J; j++ {
-			if p.Services[j].ReqAgg[d] != 0 || p.Services[j].NeedAgg[d] != 0 { //vmalloc:nondet-ok structural zero tests decide constraint membership; coefficients are stored, not computed
-				hasAgg[d] = true
-				break
-			}
-		}
-	}
+	// (6) aggregate capacities per node and dimension. Structurally-zero
+	// coefficients are dropped (zero-need dimensions contribute no y_jh
+	// terms); additionally skip dimensions no service demands at all, whose
+	// rows would be empty — 0 <= capacity holds vacuously.
 	for h := 0; h < H; h++ {
 		nd := &p.Nodes[h]
 		for d := 0; d < D; d++ {
-			if !hasAgg[d] && nd.Aggregate[d] >= 0 {
+			if !hasAgg(p, d) && nd.Aggregate[d] >= 0 {
 				continue
 			}
 			for j := 0; j < J; j++ {
-				mat.Add(row, enc.EVar(j, h), p.Services[j].ReqAgg[d])
-				mat.Add(row, enc.YVar(j, h), p.Services[j].NeedAgg[d])
+				w.add(enc.EVar(j, h), p.Services[j].ReqAgg[d])
+				w.add(enc.YVar(j, h), p.Services[j].NeedAgg[d])
 			}
-			endRow(lp.LE, nd.Aggregate[d])
+			w.endRow(lp.LE, nd.Aggregate[d])
 		}
 	}
 	// (7) sum_h y_jh >= Y.
 	for j := 0; j < J; j++ {
 		for h := 0; h < H; h++ {
-			mat.Add(row, enc.YVar(j, h), 1)
+			w.add(enc.YVar(j, h), 1)
 		}
-		mat.Add(row, enc.MinYieldVar(), -1)
-		endRow(lp.GE, 0)
+		w.add(enc.MinYieldVar(), -1)
+		w.endRow(lp.GE, 0)
 	}
-	prob.Cols = mat.Build(row)
-	enc.LP = prob
-	return enc
+}
+
+// hasAgg reports whether any service demands aggregate dimension d.
+func hasAgg(p *core.Problem, d int) bool {
+	for j := range p.Services {
+		if p.Services[j].ReqAgg[d] != 0 || p.Services[j].NeedAgg[d] != 0 { //vmalloc:nondet-ok structural zero tests decide constraint membership; coefficients are stored, not computed
+			return true
+		}
+	}
+	return false
 }
 
 // Relaxed is the solution of the rational relaxation.
@@ -170,7 +233,8 @@ type Relaxed struct {
 	// MinYield is the relaxation's optimal Y: an upper bound on any
 	// integral solution's minimum yield (paper §3.2).
 	MinYield float64
-	// E[j][h] is the fractional placement of service j on node h.
+	// E[j][h] is the fractional placement of service j on node h (nil
+	// from Workspace.Bound, which never builds it).
 	E [][]float64
 	// Basis is the backend's warm-start token (nil when infeasible): with
 	// the default presolving backend it is the basis of the REDUCED model,
@@ -213,6 +277,37 @@ func SolveRelaxedWarm(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 	if err != nil {
 		return nil, err
 	}
+	return relaxed(enc, sol, true)
+}
+
+// Workspace solves the relaxation bound of successive instances on recycled
+// storage: the encoding's triplets and matrix, presolve's reducer and the
+// simplex's buffers survive from one solve to the next, and the J×H
+// fractional placement the rounding heuristics read (Relaxed.E) is never
+// built. It always presolves, whatever SetBackend installed, and its
+// results equal SolveRelaxedWarm's through the default backend. A
+// Workspace is not safe for concurrent use; the zero value is ready.
+type Workspace struct {
+	enc Encoding
+	w   cscWriter
+	pre presolve.Workspace
+}
+
+// Bound solves the relaxation of p warm-started from warm (a token from a
+// previous Bound or SolveRelaxedWarm of a similar instance) and returns it
+// with E nil.
+func (w *Workspace) Bound(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
+	encodeInto(p, &w.enc, &w.w)
+	sol, err := w.pre.SolveWarm(w.enc.LP, warm)
+	if err != nil {
+		return nil, err
+	}
+	return relaxed(&w.enc, sol, false)
+}
+
+// relaxed converts a backend solution of enc into a Relaxed, building the
+// fractional placement E only when withE is set.
+func relaxed(enc *Encoding, sol *lp.Solution, withE bool) (*Relaxed, error) {
 	switch sol.Status {
 	case lp.Infeasible:
 		r := &Relaxed{}
@@ -224,6 +319,9 @@ func SolveRelaxedWarm(p *core.Problem, warm *lp.Basis) (*Relaxed, error) {
 	}
 	r := &Relaxed{Feasible: true, MinYield: sol.X[enc.MinYieldVar()], Basis: sol.Basis}
 	r.fillWork(sol)
+	if !withE {
+		return r, nil
+	}
 	r.E = make([][]float64, enc.J)
 	for j := 0; j < enc.J; j++ {
 		r.E[j] = make([]float64, enc.H)

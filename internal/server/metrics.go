@@ -330,6 +330,8 @@ func registerObserverMetrics(reg *metrics.Registry, o *obs.Observer) {
 					{"lp_bland_activations", sv.LPBlandActivations},
 					{"lp_warm_starts", sv.LPWarmStarts},
 					{"lp_cold_starts", sv.LPColdStarts},
+					{"lp_bound_errors", sv.LPBoundErrors},
+					{"lp_bound_cached", sv.LPBoundCached},
 					{"milp_nodes", sv.MILPNodes},
 					{"milp_pruned", sv.MILPPruned},
 					{"vp_packs", sv.VPPacks},

@@ -13,3 +13,14 @@ func Grow[S ~[]E, E any](s S, n int) S {
 	}
 	return s[:n]
 }
+
+// Fit is Grow for buffers whose size barely moves from one reuse to the
+// next (a workspace re-solving problems of one shape): a reallocation
+// leaves only 1/8 headroom, so the storage a long-lived workspace retains
+// stays close to what it needs.
+func Fit[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n, n+n/8)
+	}
+	return s[:n]
+}
